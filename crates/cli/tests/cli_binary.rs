@@ -171,3 +171,18 @@ fn corpus_writes_a_loadable_suite() {
     run_ok(&["stats", one.to_str().unwrap()]);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn search_refuses_bits_beyond_127_at_parse() {
+    let ir = tmp("bits.ir");
+    run_ok(&["gen", "--seed", "9", "--internal", "3", "-o", ir.to_str().unwrap()]);
+    // 127 is the largest bound a u128 space count can express.
+    run_ok(&["search", ir.to_str().unwrap(), "--bits", "127"]);
+    for bits in ["128", "130"] {
+        let out = bin().args(["search", ir.to_str().unwrap(), "--bits", bits]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--bits {bits}: {stderr}");
+        assert!(stderr.contains(&format!("--bits {bits} is out of range")), "{stderr}");
+    }
+    std::fs::remove_file(&ir).ok();
+}

@@ -92,8 +92,9 @@ pub use persist::{
 };
 pub use pool::WorkerPool;
 pub use tree::{
-    build_inlining_tree, evaluate_inlining_tree, evaluate_inlining_tree_parallel, space_size,
-    try_build_inlining_tree, InliningTree,
+    build_inlining_tree, evaluate_inlining_tree, evaluate_inlining_tree_parallel,
+    search_space_bound, space_size, try_build_inlining_tree, BitsOutOfRange, InliningTree,
+    MAX_SEARCH_BITS,
 };
 
 #[cfg(test)]

@@ -72,6 +72,32 @@ pub fn build_inlining_tree(graph: &InlineGraph, strategy: PartitionStrategy) -> 
     }
 }
 
+/// The largest `bits` a search accepts: the space bound `2^bits` is
+/// counted in a `u128`.
+pub const MAX_SEARCH_BITS: u32 = 127;
+
+/// A search bound `2^bits` that a `u128` cannot hold (`bits` above
+/// [`MAX_SEARCH_BITS`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BitsOutOfRange(pub u32);
+
+impl std::fmt::Display for BitsOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "--bits {} is out of range (at most {MAX_SEARCH_BITS})", self.0)
+    }
+}
+
+impl std::error::Error for BitsOutOfRange {}
+
+/// The evaluation budget `2^bits` for [`try_build_inlining_tree`], or the
+/// typed refusal when `bits` exceeds [`MAX_SEARCH_BITS`].
+pub fn search_space_bound(bits: u32) -> Result<u128, BitsOutOfRange> {
+    if bits > MAX_SEARCH_BITS {
+        return Err(BitsOutOfRange(bits));
+    }
+    Ok(1u128 << bits)
+}
+
 /// Budget-bounded construction: returns `None` as soon as the tree's
 /// evaluation count (leaves + components nodes) would exceed `max_space`.
 ///

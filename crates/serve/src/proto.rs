@@ -363,6 +363,13 @@ fn get_u32(obj: &Object, key: &str) -> Result<u32, String> {
     u32::try_from(get_u64(obj, key)?).map_err(|_| format!("field {key:?} is out of range"))
 }
 
+/// The search `bits` field, refused past what the space bound can hold.
+fn get_bits(obj: &Object) -> Result<u32, String> {
+    let bits = get_u32(obj, "bits")?;
+    optinline_core::search_space_bound(bits).map_err(|e| e.to_string())?;
+    Ok(bits)
+}
+
 fn get_str(obj: &Object, key: &str) -> Result<String, String> {
     obj.get(key)
         .and_then(Value::as_str)
@@ -476,7 +483,7 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
         "search" => RequestKind::Search {
             source: get_str(&obj, "source")?,
             target: get_str(&obj, "target")?,
-            bits: get_u32(&obj, "bits")?,
+            bits: get_bits(&obj)?,
             full_eval: get_flag(&obj, "full_eval")?,
             stats: get_flag(&obj, "stats")?,
             pass_stats: get_flag(&obj, "pass_stats")?,
@@ -656,6 +663,25 @@ mod tests {
             let line = encode_request(&req);
             assert!(!line.contains('\n'), "NDJSON framing holds despite newlines in source");
             assert_eq!(decode_request(&line).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn search_bits_beyond_127_are_refused_at_decode() {
+        // `2^bits` bounds the search space in a u128: 128 and up would
+        // shift out of range, so the wire refuses them before any handler
+        // sees the request.
+        let line = |bits: u32| {
+            let mut req = Request::new(1, search("m"));
+            if let RequestKind::Search { bits: b, .. } = &mut req.kind {
+                *b = bits;
+            }
+            encode_request(&req)
+        };
+        assert!(decode_request(&line(127)).is_ok());
+        for bits in [128, 130, u32::MAX] {
+            let err = decode_request(&line(bits)).unwrap_err();
+            assert!(err.contains(&format!("bits {bits}")) && err.contains("127"), "{err}");
         }
     }
 
