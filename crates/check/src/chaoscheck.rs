@@ -367,7 +367,7 @@ fn chaos_store(seed: u64, report: &mut ChaosReport) {
         std::env::temp_dir().join(format!("optinline-chaos-store-{}-{seed:x}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let fingerprint = 0xc4a0_5000u128 + (seed as u128 & 0xff);
-    let spec = ScopeSpec { fingerprint, meta: "chaos target=t sites=4", legacy_fingerprint: None };
+    let spec = ScopeSpec { fingerprint, meta: "chaos target=t sites=4" };
     let mut fail = |detail: String| {
         report.mismatches.push(ChaosMismatch { stage: "store-recovery", detail });
     };

@@ -19,11 +19,7 @@
 //!   in-memory memo key of `CompilerEvaluator`, so a hit is exactly a
 //!   compile avoided.
 //! - **Identity derivation.** [`cache_meta`] builds the human-auditable
-//!   identity tag recorded on (and verified against) every scope log, and
-//!   [`module_fingerprint`] still computes the fingerprint older releases
-//!   used for their flat per-module files — passed to the store as the
-//!   *legacy* identity so those files are imported once (when their meta
-//!   matches) or cleanly ignored (when it doesn't), never misread.
+//!   identity tag recorded on (and verified against) every scope log.
 //! - **[`PersistentEvaluator`]**, the [`Evaluator`] adapter the CLI layers
 //!   under `search`/`autotune` when `--cache-dir` is given: answer from
 //!   the store, forward misses, record every fresh result.
@@ -41,8 +37,7 @@ use std::sync::Arc;
 /// Counters for a [`PersistentCache`]'s lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PersistStats {
-    /// Entries recovered from disk when the cache was opened (including
-    /// any imported from a legacy per-module file).
+    /// Entries recovered from disk when the cache was opened.
     pub loaded: u64,
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -50,9 +45,8 @@ pub struct PersistStats {
     pub misses: u64,
 }
 
-/// A stable fingerprint identifying (module, target): the identity older
-/// releases named their flat per-module cache files with. Still computed
-/// so the store can find and import (or ignore) those files.
+/// A stable fingerprint identifying (module, target), for callers that
+/// address a scope by module rather than by evaluation domain.
 pub fn module_fingerprint(module: &Module, target_name: &str) -> u128 {
     let mut h = Fnv128::new();
     h.write(module.to_string().as_bytes());
@@ -62,8 +56,6 @@ pub fn module_fingerprint(module: &Module, target_name: &str) -> u128 {
 }
 
 /// The identity tag recorded on a scope log and verified at every open.
-/// Deliberately the same format the legacy per-module files carried, so
-/// their metas verify during import.
 pub fn cache_meta(module: &Module, target_name: &str) -> String {
     format!("{} target={} sites={}", module.name, target_name, module.inlinable_sites().len())
 }
@@ -81,31 +73,15 @@ impl PersistentCache {
     /// `meta` names what the scope is for (module, target, site count) and
     /// is verified against the recorded identity: a mismatch — an FNV
     /// fingerprint collision, or a stale file — restarts the scope instead
-    /// of serving another module's sizes. The same fingerprint doubles as
-    /// the legacy identity, so an old flat `<fingerprint>.sizes` file in
-    /// `dir` is imported when its meta matches.
+    /// of serving another module's sizes.
     pub fn open(dir: &Path, fingerprint: u128, meta: &str) -> std::io::Result<Self> {
-        Self::open_scoped(dir, fingerprint, Some(fingerprint), meta)
-    }
-
-    /// Opens the cache for an explicit (scope, legacy) identity pair:
-    /// `fingerprint` is the content address (the evaluator's
-    /// `memo_scope`), `legacy_fingerprint` the name an older release's
-    /// flat file would carry (usually [`module_fingerprint`]), or `None`
-    /// to skip import probing.
-    pub fn open_scoped(
-        dir: &Path,
-        fingerprint: u128,
-        legacy_fingerprint: Option<u128>,
-        meta: &str,
-    ) -> std::io::Result<Self> {
         let store = LocalStore::shared(dir)?;
-        let scope = store.scope(ScopeSpec { fingerprint, meta, legacy_fingerprint })?;
+        let scope = store.scope(ScopeSpec { fingerprint, meta })?;
         Ok(PersistentCache { store, scope })
     }
 
     /// Looks up the measurement recorded for a canonical inlined-site set.
-    /// Legacy size-only entries surface as `cycles: None`.
+    /// Size-only entries surface as `cycles: None`.
     pub fn get(&self, key: &[CallSiteId]) -> Option<Measurement> {
         self.scope.get(key)
     }
@@ -225,7 +201,7 @@ impl<E: Evaluator + std::fmt::Debug> Evaluator for PersistentEvaluator<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optinline_store::{HEADER, LEGACY_HEADER};
+    use optinline_store::HEADER;
     use std::fs::OpenOptions;
     use std::io::{Read, Seek, SeekFrom};
     use std::path::PathBuf;
@@ -307,17 +283,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_file_is_imported_with_line_level_tolerance() {
-        // An old release's flat per-module file: well-formed lines are
-        // imported; bad integer, unsorted sites, garbage bytes, and
-        // malformed ids are each dropped independently.
+    fn damaged_v1_lines_are_dropped_one_by_one() {
+        // A scope log under the current header with damage between good
+        // lines: bad integer, unsorted sites, garbage bytes, and malformed
+        // ids are each dropped independently; the well-formed lines load.
         let dir = tmpdir("corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let legacy = dir.join(format!("{:032x}.sizes", 9u128));
+        let path = PersistentCache::open(&dir, 9, "mod-c").unwrap().path().to_path_buf();
         std::fs::write(
-            &legacy,
+            &path,
             format!(
-                "{LEGACY_HEADER}\nmeta mod-c\n77 s1,s2\nnot a number s3\n\
+                "{HEADER}\nmeta mod-c\n77 s1,s2\nnot a number s3\n\
                  88 s9,s4\n\u{1F4A3}\n99 -\n55 sX\n"
             ),
         )
@@ -328,7 +303,6 @@ mod tests {
         assert_eq!(c.get(&k(&[])), Some(m(99)));
         assert_eq!(c.get(&k(&[9, 4])), None);
         assert_eq!(c.get(&k(&[4, 9])), None);
-        assert!(!legacy.exists(), "imported legacy file is retired");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

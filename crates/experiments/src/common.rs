@@ -111,10 +111,11 @@ pub fn load_cases(scale: Scale, incremental: bool, cache_dir: Option<&Path>) -> 
             let file = module.name.clone();
             let mut evaluator = SizeEvaluator::new(module, Box::new(X86Like), incremental);
             if let Some(dir) = cache_dir {
-                let legacy = module_fingerprint(evaluator.module(), evaluator.target().name());
-                let fp = evaluator.memo_scope().unwrap_or(legacy);
+                let fp = evaluator.memo_scope().unwrap_or_else(|| {
+                    module_fingerprint(evaluator.module(), evaluator.target().name())
+                });
                 let meta = cache_meta(evaluator.module(), evaluator.target().name());
-                match PersistentCache::open_scoped(dir, fp, Some(legacy), &meta) {
+                match PersistentCache::open(dir, fp, &meta) {
                     Ok(cache) => evaluator = evaluator.with_persist(Arc::new(cache)),
                     Err(e) => eprintln!("warning: cache disabled for {file}: {e}"),
                 }

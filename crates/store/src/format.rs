@@ -10,10 +10,7 @@
 //! <size>+<cycles> s3,s7         <- measurement entry carrying simulated cycles
 //! ```
 //!
-//! The size-only entry grammar is byte-identical to the legacy per-module
-//! `optinline-cache v2` format, which is what makes legacy files importable
-//! line-by-line (see [`crate::LocalStore::scope`]). Measurement entries
-//! extend the value field with `+<cycles>` rather than bumping the header:
+//! Measurement entries extend the value field with `+<cycles>` rather than bumping the header:
 //! a header bump would restart (discard) every existing log, while the
 //! extended grammar lets old size-only lines keep decoding (as
 //! `cycles: None`) and old readers skip the new lines as malformed —
@@ -27,17 +24,11 @@ use optinline_ir::{CallSiteId, Measurement};
 /// Format tag written as the first line of every scope log.
 pub const HEADER: &str = "optinline-store v1";
 
-/// Header of the legacy per-module cache files this store can import.
-pub const LEGACY_HEADER: &str = "optinline-cache v2";
-
 /// Prefix of the identity line written right after the header.
 pub const META_PREFIX: &str = "meta ";
 
 /// Extension of scope logs inside the sharded directories.
 pub const LOG_EXT: &str = "log";
-
-/// Extension of legacy flat per-module cache files.
-pub const LEGACY_EXT: &str = "sizes";
 
 /// Flattens a caller-supplied identity tag to one line: the meta line is
 /// positional, so embedded newlines would desync the whole format.
@@ -72,7 +63,7 @@ pub fn parse_entry(line: &str) -> Option<(Vec<CallSiteId>, Measurement)> {
 }
 
 /// Formats an entry line (without the trailing newline). A size-only
-/// measurement writes the legacy-compatible bare-size form.
+/// measurement writes the bare-size form.
 pub fn format_entry(key: &[CallSiteId], value: Measurement) -> String {
     let value_str = match value.cycles {
         Some(cycles) => format!("{}+{cycles}", value.size),
@@ -128,8 +119,8 @@ mod tests {
     }
 
     #[test]
-    fn size_only_entries_keep_the_legacy_wire_form() {
-        // The bare-size grammar is what legacy v2 files and old readers
+    fn size_only_entries_keep_the_bare_size_form() {
+        // The bare-size grammar is what size-only scopes and old readers
         // speak; a size-only measurement must not change a single byte.
         assert_eq!(format_entry(&k(&[]), Measurement::size_only(100)), "100 -");
         assert_eq!(format_entry(&k(&[1, 3]), Measurement::size_only(80)), "80 s1,s3");

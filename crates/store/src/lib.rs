@@ -2,21 +2,22 @@
 //!
 //! The search layers above this crate are affordable only because size
 //! evaluations are massively reusable; this crate is where that reuse is
-//! made durable and *bounded*. It replaces the flat per-module append-only
-//! cache files with a store rooted at one directory:
+//! made durable and *bounded*: a store rooted at one directory,
 //!
 //! ```text
 //! <root>/index.v1            compact advisory index (atomic rewrites)
 //! <root>/ab/cdef...0123.log  scope log, sharded by fingerprint prefix
-//! <root>/<fp-hex32>.sizes    legacy v2 per-module file (imported/ignored)
 //! ```
+//!
+//! Only `optinline-store v1` scope logs are ever read. Any other file (a
+//! flat `<fp>.sizes` file of the retired per-module cache, say) is never
+//! read, never touched, and counted as foreign by [`LocalStore::verify`].
 //!
 //! A *scope* is one evaluation domain — module text + target + pipeline
 //! options, fingerprinted by the evaluator's `memo_scope` — and its log
-//! maps canonical inlined-site sets to measured sizes. On top of the
-//! legacy cache's guarantees (identity verification, line-scoped
-//! corruption tolerance, torn-tail termination, restart by atomic rename),
-//! the store adds:
+//! maps canonical inlined-site sets to measured sizes. On top of identity
+//! verification, line-scoped corruption tolerance, torn-tail termination
+//! and restart by atomic rename, the store has:
 //!
 //! - a shared **index** of per-scope entry counts, byte sizes, and hit
 //!   recency ([`SharedIndex`]) — advisory, rebuildable by a full scan;
@@ -39,7 +40,7 @@ mod scope;
 
 pub use format::{
     fingerprint_of, format_entry, log_file_stem, parse_entry, sanitize_meta, scope_rel_path,
-    HEADER, LEGACY_EXT, LEGACY_HEADER, LOG_EXT, META_PREFIX,
+    HEADER, LOG_EXT, META_PREFIX,
 };
 pub use index::{Index, ScopeRecord, SharedIndex, INDEX_FILE};
 pub use local::{GcReport, LocalStore, ScopeFormatMix, ScopeSpec, VerifyReport};
@@ -51,8 +52,7 @@ use optinline_ir::{CallSiteId, Measurement};
 #[derive(Clone, Copy, Debug)]
 pub struct StoreOptions {
     /// Flush the write-back buffer once it holds this many entry lines.
-    /// `1` degenerates to the legacy one-write-per-put behavior (useful as
-    /// a bench baseline).
+    /// `1` degenerates to one write per put (useful as a baseline).
     pub flush_every_lines: usize,
     /// Flush the write-back buffer once it holds this many bytes.
     pub flush_bytes: usize,
@@ -100,8 +100,6 @@ pub struct StoreStats {
     pub flushed_lines: u64,
     /// Entries recovered from disk at scope opens.
     pub loaded: u64,
-    /// Entries imported from legacy per-module cache files.
-    pub imported: u64,
     /// Resident-map entries displaced by the memory bound.
     pub resident_evictions: u64,
     /// Log compactions performed.

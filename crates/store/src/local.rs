@@ -2,10 +2,9 @@
 //! the shared index, size-budgeted GC, verification, and compaction.
 
 use crate::format::{
-    fingerprint_of, log_file_stem, parse_entry, sanitize_meta, scope_rel_path, HEADER, LEGACY_EXT,
-    META_PREFIX,
+    fingerprint_of, log_file_stem, parse_entry, sanitize_meta, scope_rel_path, HEADER, META_PREFIX,
 };
-use crate::index::{ScopeRecord, SharedIndex};
+use crate::index::{ScopeRecord, SharedIndex, INDEX_FILE};
 use crate::scope::{Scope, ScopeCounters};
 use crate::{Store, StoreOptions, StoreStats};
 use optinline_ir::{CallSiteId, Measurement};
@@ -14,18 +13,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-/// Identity of a scope to open: the content fingerprint, the
-/// human-auditable meta tag verified against the log, and optionally the
-/// fingerprint an older release would have used for its flat per-module
-/// file (enables one-time import).
+/// Identity of a scope to open: the content fingerprint and the
+/// human-auditable meta tag verified against the log.
 #[derive(Clone, Copy, Debug)]
 pub struct ScopeSpec<'a> {
     /// Content fingerprint (module text + target + pipeline options).
     pub fingerprint: u128,
     /// Identity tag recorded on (and verified against) the log.
     pub meta: &'a str,
-    /// Legacy per-module fingerprint whose `.sizes` file may be imported.
-    pub legacy_fingerprint: Option<u128>,
 }
 
 /// Result of a size-budgeted GC pass.
@@ -40,8 +35,6 @@ pub struct GcReport {
     pub after_bytes: u64,
     /// Scope logs deleted, LRU first.
     pub evicted_scopes: u64,
-    /// Legacy per-module files deleted (evicted before any scope log).
-    pub evicted_legacy: u64,
 }
 
 /// Per-scope entry-format tally: how many lines still speak the old
@@ -51,7 +44,7 @@ pub struct GcReport {
 pub struct ScopeFormatMix {
     /// The scope's fingerprint.
     pub fingerprint: u128,
-    /// Entry lines in the legacy bare-size form (`<size> <sites>`).
+    /// Entry lines in the bare-size form (`<size> <sites>`).
     pub size_only_lines: u64,
     /// Entry lines carrying cycles (`<size>+<cycles> <sites>`).
     pub measurement_lines: u64,
@@ -72,10 +65,9 @@ pub struct VerifyReport {
     pub malformed_lines: u64,
     /// Log-named files whose header or meta line is unreadable.
     pub unreadable_logs: u64,
-    /// Legacy `.sizes` files still awaiting import at the root.
-    pub legacy_files: u64,
-    /// Unrecognized files inside shard directories (editor droppings,
-    /// stray temp files) — skipped, never touched, never fatal.
+    /// Unrecognized files at the root or inside shard directories (editor
+    /// droppings, stray temp files, a retired per-module `.sizes` cache
+    /// file) — skipped, never read, never touched, never fatal.
     pub foreign_files: u64,
     /// Orphaned `*.tmp.<pid>` files swept: their writer is dead, so the
     /// interrupted rewrite they belonged to will never be published.
@@ -93,8 +85,8 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
-    /// Whether the scan found no damage (duplicates and pending legacy
-    /// files are normal operation, not damage).
+    /// Whether the scan found no damage (duplicates and foreign files are
+    /// normal operation, not damage).
     pub fn clean(&self) -> bool {
         self.malformed_lines == 0 && self.unreadable_logs == 0
     }
@@ -111,7 +103,8 @@ struct Scanned {
 struct ScanOutcome {
     /// Well-formed scope logs.
     logs: Vec<Scanned>,
-    /// Files inside shard directories that are not scope logs.
+    /// Files at the root (other than the index) or inside shard
+    /// directories that are not scope logs.
     foreign_files: u64,
 }
 
@@ -189,7 +182,7 @@ impl LocalStore {
     /// Opens (or joins) the scope for `spec`, verifying its identity. A
     /// live handle for the same fingerprint **and** meta is shared; a live
     /// handle under a different meta is dropped from the registry and the
-    /// log restarted — the legacy filename-collision contract, applied
+    /// log restarted — the filename-collision contract, applied
     /// in-process.
     pub fn scope(&self, spec: ScopeSpec<'_>) -> std::io::Result<Scope> {
         let meta = sanitize_meta(spec.meta);
@@ -203,11 +196,8 @@ impl LocalStore {
         }
         let (shard, file) = scope_rel_path(spec.fingerprint);
         let path = self.root.join(shard).join(file);
-        let legacy =
-            spec.legacy_fingerprint.map(|fp| self.root.join(format!("{fp:032x}.{LEGACY_EXT}")));
         let scope = Scope::open(
             path,
-            legacy.as_deref(),
             spec.fingerprint,
             &meta,
             self.opts,
@@ -228,15 +218,18 @@ impl LocalStore {
     }
 
     /// Walks the sharded directories, collecting every scope log and
-    /// counting (but never touching) anything else it finds in a shard.
-    /// Entries that vanish mid-walk (a concurrent GC pass) are skipped,
-    /// never an error.
+    /// counting (but never touching) anything else it finds at the root or
+    /// in a shard. Entries that vanish mid-walk (a concurrent GC pass) are
+    /// skipped, never an error.
     fn scan(&self) -> std::io::Result<ScanOutcome> {
         let mut out = ScanOutcome { logs: Vec::new(), foreign_files: 0 };
         for shard_entry in std::fs::read_dir(&self.root)? {
             let shard_entry = shard_entry?;
             let is_dir = shard_entry.file_type().map(|t| t.is_dir()).unwrap_or(false);
             if !is_dir {
+                if shard_entry.file_name() != INDEX_FILE {
+                    out.foreign_files += 1;
+                }
                 continue;
             }
             let shard_name = shard_entry.file_name().to_string_lossy().into_owned();
@@ -257,21 +250,8 @@ impl LocalStore {
         Ok(out)
     }
 
-    /// Legacy `.sizes` files still sitting flat at the root.
-    fn scan_legacy(&self) -> std::io::Result<Vec<(PathBuf, u64)>> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(&self.root)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.is_file() && path.extension().and_then(|e| e.to_str()) == Some(LEGACY_EXT) {
-                out.push((path, entry.metadata()?.len()));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Total bytes of every file under the root (logs, legacy files, the
-    /// index, stray temp files) — the quantity the GC budget bounds.
+    /// Total bytes of every file under the root (logs, the index, stray
+    /// temp and foreign files) — the quantity the GC budget bounds.
     pub fn disk_bytes(&self) -> std::io::Result<u64> {
         fn walk(dir: &Path) -> std::io::Result<u64> {
             let mut total = 0;
@@ -290,10 +270,10 @@ impl LocalStore {
         walk(&self.root)
     }
 
-    /// Evicts least-recently-used scope logs (legacy files first — they
-    /// predate recency tracking) until the whole directory fits
-    /// `budget_bytes`, then persists the reconciled index. Scopes with a
-    /// live handle in this process are never evicted.
+    /// Evicts least-recently-used scope logs until the whole directory
+    /// fits `budget_bytes`, then persists the reconciled index. Scopes with
+    /// a live handle in this process are never evicted, and nothing but
+    /// scope logs is ever deleted.
     pub fn gc(&self, budget_bytes: u64) -> std::io::Result<GcReport> {
         self.flush_all()?;
         let before_bytes = self.disk_bytes()?;
@@ -304,18 +284,6 @@ impl LocalStore {
             ..GcReport::default()
         };
         let mut remaining = before_bytes;
-
-        if remaining > budget_bytes {
-            for (path, bytes) in self.scan_legacy()? {
-                if remaining <= budget_bytes {
-                    break;
-                }
-                std::fs::remove_file(&path)?;
-                remaining = remaining.saturating_sub(bytes);
-                report.evicted_legacy += 1;
-                self.gc_evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-        }
 
         if remaining > budget_bytes {
             // Reconcile recency from the index with reality from the scan,
@@ -487,7 +455,6 @@ impl LocalStore {
                 ScopeRecord { entries: seen.len() as u64, bytes: log.bytes, used: 0 },
             );
         }
-        report.legacy_files = self.scan_legacy()?.len() as u64;
         self.index.rebuild(rebuilt);
         self.index.save()?;
         Ok(report)
@@ -529,7 +496,6 @@ impl LocalStore {
             appends: counters.appends,
             flushed_lines: counters.flushed_lines,
             loaded: counters.loaded,
-            imported: counters.imported,
             resident_evictions: counters.resident_evictions,
             compactions: counters.compactions,
             compacted_bytes: counters.compacted_bytes,

@@ -3,8 +3,7 @@
 //!
 //! A *scope* is one evaluation domain — (module text, target, pipeline
 //! options), fingerprinted upstream — and its log maps canonical
-//! inlined-site sets to measured sizes. The handle preserves the legacy
-//! cache's hard-won guarantees:
+//! inlined-site sets to measured sizes. The handle guarantees:
 //!
 //! - **Identity verification.** The log's `meta` line must match the
 //!   caller's identity; a mismatch (FNV filename collision, stale file)
@@ -18,12 +17,12 @@
 //!   holding an append handle keeps writing the unlinked inode — entries
 //!   can be lost to a racing rewrite, never interleaved mid-file.
 //!
-//! What's new over the legacy cache:
+//! On top of those:
 //!
 //! - **Write batching.** `put` appends to an in-memory buffer flushed as
 //!   one `write` syscall when it reaches a line/byte threshold, on
-//!   [`Scope::flush`], and on drop — collapsing the legacy
-//!   one-syscall-per-probe pattern into amortized bulk appends.
+//!   [`Scope::flush`], and on drop — amortized bulk appends instead of one
+//!   syscall per probe.
 //! - **Bounded resident memory.** The in-memory map is a *cache* of the
 //!   log, bounded at [`StoreOptions::max_resident_entries`] (FIFO
 //!   eviction), so a long autotune run no longer grows resident memory
@@ -34,7 +33,7 @@
 //!   tracked as *dead*; when they exceed a ratio of the log the open
 //!   compacts automatically, and [`Scope::compact`] does it on demand.
 
-use crate::format::{format_entry, parse_entry, sanitize_meta, HEADER, LEGACY_HEADER, META_PREFIX};
+use crate::format::{format_entry, parse_entry, sanitize_meta, HEADER, META_PREFIX};
 use crate::index::SharedIndex;
 use crate::StoreOptions;
 use optinline_ir::{CallSiteId, Measurement};
@@ -51,8 +50,6 @@ use std::sync::{Arc, Mutex};
 pub struct ScopeCounters {
     /// Entries recovered from disk when the scope was opened.
     pub loaded: u64,
-    /// Entries imported from a legacy per-module cache file.
-    pub imported: u64,
     /// Lookups answered from the resident map.
     pub hits: u64,
     /// Lookups that fell through to the caller.
@@ -75,7 +72,6 @@ impl ScopeCounters {
     /// Adds `other` into `self`, field by field.
     pub fn absorb(&mut self, other: &ScopeCounters) {
         self.loaded += other.loaded;
-        self.imported += other.imported;
         self.hits += other.hits;
         self.misses += other.misses;
         self.puts += other.puts;
@@ -139,12 +135,12 @@ struct LoadOutcome {
     restart: bool,
 }
 
-/// Parses a log under `header`, skipping malformed lines and charging
-/// duplicates/damage to `dead_bytes`.
-fn load_log(file: File, header: &str, meta: &str) -> LoadOutcome {
+/// Parses a log, skipping malformed lines and charging duplicates/damage
+/// to `dead_bytes`.
+fn load_log(file: File, meta: &str) -> LoadOutcome {
     let mut lines = BufReader::new(file).lines();
     match lines.next() {
-        Some(Ok(h)) if h == header => {}
+        Some(Ok(h)) if h == HEADER => {}
         None => return LoadOutcome { entries: Vec::new(), dead_bytes: 0, restart: false },
         _ => return LoadOutcome { entries: Vec::new(), dead_bytes: 0, restart: true },
     }
@@ -255,7 +251,6 @@ pub(crate) struct ScopeInner {
     retired: Arc<Mutex<ScopeCounters>>,
     state: Mutex<ScopeState>,
     loaded: u64,
-    imported: u64,
     hits: AtomicU64,
     misses: AtomicU64,
     puts: AtomicU64,
@@ -284,13 +279,9 @@ pub struct Scope {
 
 impl Scope {
     /// Opens (or creates) the scope log at `path`, verifying `meta`
-    /// against the recorded identity and importing `legacy_path` (an old
-    /// per-module `optinline-cache v2` file) when the new log does not
-    /// exist yet and the legacy identity matches — a mismatched legacy
-    /// file is cleanly ignored, never misread.
+    /// against the recorded identity.
     pub(crate) fn open(
         path: PathBuf,
-        legacy_path: Option<&Path>,
         fingerprint: u128,
         meta: &str,
         opts: StoreOptions,
@@ -302,22 +293,6 @@ impl Scope {
         }
         let meta = sanitize_meta(meta);
 
-        // Legacy migration: a matching v2 per-module file seeds the new
-        // log and is removed; anything else is left untouched.
-        let mut imported = 0u64;
-        if !path.exists() {
-            if let Some(legacy) = legacy_path.filter(|p| p.exists()) {
-                if let Ok(f) = File::open(legacy) {
-                    let out = load_log(f, LEGACY_HEADER, &meta);
-                    if !out.restart && !out.entries.is_empty() {
-                        rewrite_log(&path, &meta, &out.entries)?;
-                        imported = out.entries.len() as u64;
-                        let _ = std::fs::remove_file(legacy);
-                    }
-                }
-            }
-        }
-
         // Crash recovery before anything reads the log: drop a torn
         // trailing line so it neither loads as damage nor splices with
         // the next append.
@@ -325,7 +300,7 @@ impl Scope {
 
         let (mut entries, mut dead_bytes, restart) = match File::open(&path) {
             Ok(f) => {
-                let out = load_log(f, HEADER, &meta);
+                let out = load_log(f, &meta);
                 (out.entries, out.dead_bytes, out.restart)
             }
             Err(_) => (Vec::new(), 0, false),
@@ -347,8 +322,6 @@ impl Scope {
         }
         let disk_bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
 
-        // Imported entries are re-read from the fresh log, so `entries`
-        // already includes them.
         let loaded = entries.len() as u64;
         let live_entries = entries.len() as u64;
         let mut map = HashMap::with_capacity(entries.len());
@@ -386,7 +359,6 @@ impl Scope {
                     live_entries,
                 }),
                 loaded,
-                imported,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 puts: AtomicU64::new(0),
@@ -520,7 +492,6 @@ impl Scope {
         let i = &*self.inner;
         ScopeCounters {
             loaded: i.loaded,
-            imported: i.imported,
             hits: i.hits.load(Ordering::Relaxed),
             misses: i.misses.load(Ordering::Relaxed),
             puts: i.puts.load(Ordering::Relaxed),
@@ -578,13 +549,13 @@ impl ScopeInner {
     /// duplicates and damage dropped. Holding the state lock for the whole
     /// rewrite means no in-process appender can interleave; a concurrent
     /// *process* keeps the old inode (entries lost, never corrupted),
-    /// exactly the legacy restart contract.
+    /// exactly the restart contract.
     fn compact_locked(&self, state: &mut ScopeState) -> std::io::Result<(u64, u64)> {
         self.flush_locked(state)?;
         let before = state.file.metadata().map(|m| m.len()).unwrap_or(state.disk_bytes);
         // Re-read the log: the resident map is bounded, so only the disk
         // knows every committed entry.
-        let out = load_log(File::open(&self.path)?, HEADER, &self.meta);
+        let out = load_log(File::open(&self.path)?, &self.meta);
         if out.restart {
             // Another process restarted the file under a different
             // identity; leave it alone.
@@ -614,7 +585,7 @@ pub(crate) fn compact_closed_log(path: &Path) -> std::io::Result<(u64, u64)> {
     let Some(meta) = lines.next().and_then(|l| l.strip_prefix(META_PREFIX)) else {
         return Ok((before, before));
     };
-    let out = load_log(File::open(path)?, HEADER, meta);
+    let out = load_log(File::open(path)?, meta);
     if out.restart {
         return Ok((before, before));
     }
@@ -635,7 +606,6 @@ impl Drop for ScopeInner {
         let _ = self.index.save();
         let counters = ScopeCounters {
             loaded: self.loaded,
-            imported: self.imported,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             puts: self.puts.load(Ordering::Relaxed),

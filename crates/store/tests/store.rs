@@ -1,12 +1,10 @@
-//! Integration tests of the local store: crash/corruption tolerance
-//! (ported from the legacy per-module cache), write batching, bounded
-//! resident memory, legacy import, compaction, size-budgeted GC, and a
-//! concurrent appenders-vs-compaction stress run.
+//! Integration tests of the local store: crash/corruption tolerance,
+//! write batching, bounded resident memory, foreign files left alone,
+//! compaction, size-budgeted GC, and a concurrent appenders-vs-compaction
+//! stress run.
 
 use optinline_ir::{CallSiteId, Measurement};
-use optinline_store::{
-    scope_rel_path, LocalStore, ScopeSpec, Store, StoreOptions, HEADER, LEGACY_HEADER,
-};
+use optinline_store::{scope_rel_path, LocalStore, ScopeSpec, Store, StoreOptions, HEADER};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -26,7 +24,7 @@ fn m(size: u64) -> Measurement {
 }
 
 fn spec(fp: u128) -> ScopeSpec<'static> {
-    ScopeSpec { fingerprint: fp, meta: "mod-a target=t sites=4", legacy_fingerprint: None }
+    ScopeSpec { fingerprint: fp, meta: "mod-a target=t sites=4" }
 }
 
 /// Absolute path of the sharded log for `fp` under `root`.
@@ -160,61 +158,31 @@ fn same_fingerprint_different_meta_in_process_restarts() {
     let a = store.scope(spec(0x11)).unwrap();
     a.put(k(&[]), m(100));
     a.flush().unwrap();
-    let b = store
-        .scope(ScopeSpec {
-            fingerprint: 0x11,
-            meta: "other target=y sites=1",
-            legacy_fingerprint: None,
-        })
-        .unwrap();
+    let b = store.scope(ScopeSpec { fingerprint: 0x11, meta: "other target=y sites=1" }).unwrap();
     assert_eq!(b.get(&k(&[])), None, "a colliding identity never sees foreign entries");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn legacy_v2_file_with_matching_meta_is_imported_and_removed() {
-    let dir = tmpdir("import");
-    let legacy_fp = 0xfeed_u128;
-    let legacy_path = dir.join(format!("{legacy_fp:032x}.sizes"));
-    std::fs::write(
-        &legacy_path,
-        format!("{LEGACY_HEADER}\nmeta mod-a target=t sites=4\n100 -\n80 s1,s3\n"),
-    )
-    .unwrap();
+fn flat_sizes_files_at_the_root_are_never_read_or_touched() {
+    // A file of the retired per-module cache format, whose identity
+    // matches the scope being opened: the store reads only v1 scope logs,
+    // so the entries never surface, and verify counts the file as foreign.
+    let dir = tmpdir("flat-sizes");
+    let flat = dir.join(format!("{:032x}.sizes", 0xfeed_u128));
+    let body = "optinline-cache v2\nmeta mod-a target=t sites=4\n100 -\n80 s1,s3\n";
+    std::fs::write(&flat, body).unwrap();
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store
-        .scope(ScopeSpec {
-            fingerprint: 0xabcd,
-            meta: "mod-a target=t sites=4",
-            legacy_fingerprint: Some(legacy_fp),
-        })
-        .unwrap();
-    assert_eq!(scope.counters().imported, 2);
-    assert_eq!(scope.get(&k(&[])), Some(m(100)));
-    assert_eq!(scope.get(&k(&[1, 3])), Some(m(80)));
-    assert!(!legacy_path.exists(), "imported legacy file is retired");
-    assert!(log_path(&dir, 0xabcd).exists());
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn legacy_v2_file_with_foreign_meta_is_ignored_untouched() {
-    let dir = tmpdir("import-skip");
-    let legacy_fp = 0xdead_u128;
-    let legacy_path = dir.join(format!("{legacy_fp:032x}.sizes"));
-    let legacy_body = format!("{LEGACY_HEADER}\nmeta other target=z sites=2\n100 -\n");
-    std::fs::write(&legacy_path, &legacy_body).unwrap();
-    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store
-        .scope(ScopeSpec {
-            fingerprint: 0xabce,
-            meta: "mod-a target=t sites=4",
-            legacy_fingerprint: Some(legacy_fp),
-        })
-        .unwrap();
-    assert_eq!(scope.counters().imported, 0, "foreign legacy identity is never misread");
+    let scope = store.scope(spec(0xfeed)).unwrap();
+    assert_eq!(scope.counters().loaded, 0);
     assert_eq!(scope.get(&k(&[])), None);
-    assert_eq!(std::fs::read_to_string(&legacy_path).unwrap(), legacy_body, "left untouched");
+    assert_eq!(scope.get(&k(&[1, 3])), None);
+    drop(scope);
+    let report = store.verify().unwrap();
+    assert_eq!(report.foreign_files, 1, "{report:?}");
+    assert!(report.clean(), "a foreign file is not damage: {report:?}");
+    store.gc(0).unwrap();
+    assert_eq!(std::fs::read_to_string(&flat).unwrap(), body, "left untouched, even by gc");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -233,7 +201,7 @@ fn puts_are_batched_into_few_appends() {
     assert_eq!(c.flushed_lines, 20, "every committed line reaches disk");
     assert_eq!(c.appends, 3, "20 puts at 8 lines/flush = 2 threshold flushes + 1 final");
 
-    // The legacy behavior for comparison: flush_every_lines = 1.
+    // Unbatched for comparison: flush_every_lines = 1.
     let unbatched =
         LocalStore::open(&dir, StoreOptions { flush_every_lines: 1, ..StoreOptions::default() })
             .unwrap();
@@ -342,25 +310,14 @@ fn gc_enforces_the_byte_budget_lru_first() {
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
         for fp in 1u128..=8 {
-            let scope = store
-                .scope(ScopeSpec {
-                    fingerprint: fp,
-                    meta: "mod-a target=t sites=4",
-                    legacy_fingerprint: None,
-                })
-                .unwrap();
+            let scope =
+                store.scope(ScopeSpec { fingerprint: fp, meta: "mod-a target=t sites=4" }).unwrap();
             for i in 0..50 {
                 scope.put(k(&[i]), m(u64::from(i)));
             }
             scope.flush().unwrap();
         }
     }
-    // Stray legacy file: coldest, evicted first.
-    std::fs::write(
-        dir.join(format!("{:032x}.sizes", 0x99u128)),
-        format!("{LEGACY_HEADER}\nmeta old target=t sites=1\n1 -\n"),
-    )
-    .unwrap();
 
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
     let full = store.disk_bytes().unwrap();
@@ -372,7 +329,6 @@ fn gc_enforces_the_byte_budget_lru_first() {
         "post-GC size {} must fit budget {budget}",
         report.after_bytes
     );
-    assert_eq!(report.evicted_legacy, 1, "legacy file went first");
     assert!(report.evicted_scopes >= 1);
     // LRU order: the oldest fingerprints (touched first) die first, the
     // newest survive.
@@ -675,11 +631,7 @@ fn concurrent_gc_and_put_never_resurrect_evicted_scopes() {
             for r in 0..rounds {
                 let fp = lane * 0x1_0000 + u128::from(r % 7);
                 let scope = store
-                    .scope(ScopeSpec {
-                        fingerprint: fp,
-                        meta: "mod-a target=t sites=4",
-                        legacy_fingerprint: None,
-                    })
+                    .scope(ScopeSpec { fingerprint: fp, meta: "mod-a target=t sites=4" })
                     .unwrap();
                 for i in 0..20 {
                     scope.put(k(&[r * 100 + i]), m(u64::from(i)));
