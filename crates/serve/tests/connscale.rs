@@ -334,3 +334,53 @@ fn client_reuses_one_connection_for_many_requests() {
     assert_eq!(stats.completed, 52);
     assert_eq!(stats.errors, 0);
 }
+
+#[test]
+fn ping_and_dial_latency_stay_below_tick_scale() {
+    // Regression tripwire for the event loop: a ping must never become
+    // tick-bound. The old accept path slept 20 ms between accept polls;
+    // a poll-loop bug that parks a ready connection until the next
+    // timeout would show up here as a ~25 ms median. The bounds are loose
+    // (real medians are tens of microseconds) so only a tick-scale
+    // regression trips them, not CI noise.
+    let path = sock_path("tick");
+    let handle = start_server(&path, Box::new(EchoHandler), ServeOptions::default());
+    let endpoint = Endpoint::Unix(path.clone());
+    let mut client = Client::connect(&endpoint).expect("client connects");
+    let median = |mut samples: Vec<Duration>| {
+        samples.sort();
+        samples[samples.len() / 2]
+    };
+    let rtt = median(
+        (0..200)
+            .map(|_| {
+                let t0 = Instant::now();
+                client.ping().expect("pong");
+                t0.elapsed()
+            })
+            .collect(),
+    );
+    assert!(
+        rtt < Duration::from_millis(5),
+        "median ping round-trip {rtt:?} is tick-scale: readiness regression"
+    );
+    // Same tripwire for accept: dial-to-first-pong must not inherit a
+    // sleep-based accept loop (the old one cost up to 20 ms per dial).
+    let dial = median(
+        (0..50)
+            .map(|_| {
+                let t0 = Instant::now();
+                let mut fresh = Client::connect(&endpoint).expect("client connects");
+                fresh.ping().expect("pong");
+                t0.elapsed()
+            })
+            .collect(),
+    );
+    assert!(
+        dial < Duration::from_millis(10),
+        "median dial+ping {dial:?} is sleep-scale: accept readiness regression"
+    );
+    drop(client);
+    handle.drain();
+    handle.join().expect("clean exit");
+}
